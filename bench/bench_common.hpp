@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "table2_batches.hpp"
 
 namespace leopard::bench {
 
@@ -53,23 +54,6 @@ inline std::string fmt(double v, int precision = 1) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-/// The paper's Table II batch parameters for Leopard at scale n.
-inline void apply_table2_batches(harness::ExperimentConfig& cfg) {
-  if (cfg.n <= 64) {
-    cfg.datablock_requests = 2000;
-    cfg.bftblock_links = 100;
-  } else if (cfg.n <= 128) {
-    cfg.datablock_requests = 3000;
-    cfg.bftblock_links = 300;
-  } else if (cfg.n <= 300) {
-    cfg.datablock_requests = 4000;
-    cfg.bftblock_links = 300;
-  } else {
-    cfg.datablock_requests = 4000;
-    cfg.bftblock_links = 400;
-  }
 }
 
 /// Runs one experiment inside a benchmark loop and exports headline counters.

@@ -33,6 +33,7 @@
 #include "erasure/reed_solomon.hpp"
 #include "harness/experiment.hpp"
 #include "sim/event_queue.hpp"
+#include "table2_batches.hpp"
 #include "util/rng.hpp"
 
 namespace lc = leopard::crypto;
@@ -369,20 +370,7 @@ struct Fig09Point {
 Fig09Point run_fig09(std::uint32_t n) {
   leopard::harness::ExperimentConfig cfg;
   cfg.n = n;
-  // Table II batch parameters for this scale (bench_common.hpp).
-  if (n <= 64) {
-    cfg.datablock_requests = 2000;
-    cfg.bftblock_links = 100;
-  } else if (n <= 128) {
-    cfg.datablock_requests = 3000;
-    cfg.bftblock_links = 300;
-  } else if (n <= 300) {
-    cfg.datablock_requests = 4000;
-    cfg.bftblock_links = 300;
-  } else {
-    cfg.datablock_requests = 4000;
-    cfg.bftblock_links = 400;
-  }
+  leopard::bench::apply_table2_batches(cfg);
   Fig09Point p;
   p.n = n;
   const auto start = Clock::now();

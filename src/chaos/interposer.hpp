@@ -10,8 +10,8 @@
 //     subsets (the classic safety attack; honest replicas must refuse to
 //     confirm either and view-change past the traitor);
 //   silence    — all traffic toward the f lowest-id honest victims is
-//     suppressed (selective silence: victims must catch up via checkpoints
-//     and state transfer while the cluster stays live);
+//     suppressed (selective silence: victims must retrieve the silent
+//     replica's datablocks and keep executing while the cluster stays live);
 //   garbage-shares — erasure-coded retrieval and state-transfer chunks are
 //     corrupted before sending (Merkle / digest re-verification on the
 //     receiving side must reject them);

@@ -634,13 +634,18 @@ void LeopardReplica::execute_ready_blocks() {
     if (!have_all) return;
     execute_block(inst);
     ++exec_sn_;
+    if (exec_sn_ == lw_) {
+      // Finished a checkpoint adopted ahead of execution (adopt_checkpoint):
+      // it is already stable, so check the state instead of voting for it.
+      if (state_digest_ != checkpoint_state_) env().metric(Metric::kSafetyViolation, 1);
+      continue;
+    }
     maybe_checkpoint();
   }
 }
 
 void LeopardReplica::execute_block(Instance& inst) {
   const auto at = now();
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> acks_by_client;
 
   for (std::size_t li = 0; li < inst.block.links.size(); ++li) {
     const auto& link = inst.block.links[li];
@@ -670,25 +675,8 @@ void LeopardReplica::execute_block(Instance& inst) {
       env().metric(Metric::kSumAgreementSec,
                    static_cast<double>(reqs) * sim::to_seconds(at - inst.received_at));
     }
-
-    // Acknowledge own requests to their clients (the maker is the client's
-    // contact point).
-    if (db->datablock.maker == id_) {
-      for (const auto& r : db->datablock.requests) {
-        acks_by_client[r.client_id].push_back(r.seq);
-        if (stage_executed_) {
-          stage_executed_(r.client_id, r.seq, db->created_at, inst.received_at, at);
-        }
-      }
-    }
   }
-
-  for (auto& [client, seqs] : acks_by_client) {
-    auto ack = std::make_shared<proto::AckMsg>();
-    ack->client_id = client;
-    ack->seqs = std::move(seqs);
-    send_to(static_cast<protocol::NodeId>(client), std::move(ack));
-  }
+  ack_own_requests(inst);
 
   // Fold the block into the running state digest.
   util::ByteWriter w;
@@ -696,6 +684,30 @@ void LeopardReplica::execute_block(Instance& inst) {
   w.raw(inst.digest.bytes());
   state_digest_ = Digest::of(w.bytes());
   inst.executed = true;
+}
+
+void LeopardReplica::ack_own_requests(const Instance& inst) {
+  // The maker is the client's contact point: it acks the requests of its own
+  // linked datablocks once sigma2 has committed them.
+  const auto at = now();
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> acks_by_client;
+  for (const auto& link : inst.block.links) {
+    const auto it = pool_.find(link);
+    if (it == pool_.end() || it->second->datablock.maker != id_) continue;
+    const auto& db = *it->second;
+    for (const auto& r : db.datablock.requests) {
+      acks_by_client[r.client_id].push_back(r.seq);
+      if (stage_executed_) {
+        stage_executed_(r.client_id, r.seq, db.created_at, inst.received_at, at);
+      }
+    }
+  }
+  for (auto& [client, seqs] : acks_by_client) {
+    auto ack = std::make_shared<proto::AckMsg>();
+    ack->client_id = client;
+    ack->seqs = std::move(seqs);
+    send_to(static_cast<protocol::NodeId>(client), std::move(ack));
+  }
 }
 
 void LeopardReplica::maybe_checkpoint() {
@@ -771,19 +783,22 @@ void LeopardReplica::handle_checkpoint(ReplicaId from, const proto::CheckpointMs
 void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
                                       const crypto::ThresholdSignature& proof) {
   if (sn <= lw_) return;
+  const SeqNum prev_lw = lw_;
   lw_ = sn;
   checkpoint_state_ = state;
   checkpoint_proof_ = proof;
 
-  if (exec_sn_ < sn) {
+  if (exec_sn_ < sn && !can_finish(prev_lw, sn)) {
     // PBFT-style state transfer: the stable checkpoint proves 2f+1 replicas
-    // executed through sn. A lagging replica (e.g., one that lost the
-    // retrieval race for a Byzantine maker's datablock) adopts the certified
-    // state instead of stalling forever on data peers may since have
+    // executed through sn. A replica more than one interval behind adopts the
+    // certified state instead of stalling on data peers may since have
     // garbage-collected.
     exec_sn_ = sn;
     state_digest_ = state;
     for (auto it = instances_.begin(); it != instances_.end() && it->first <= sn;) {
+      // A confirmed skipped block is committed: ack its requests here, since
+      // no execution will. Unconfirmed ones are left to client re-submission.
+      if (it->second.confirmed && !it->second.executed) ack_own_requests(it->second);
       // Drop the skipped instances AND their datablocks: they are below the
       // stable checkpoint, so every correct replica is (or will be) past
       // them, and keeping the datablocks would risk re-linking.
@@ -807,6 +822,23 @@ void LeopardReplica::adopt_checkpoint(SeqNum sn, const Digest& state,
   const auto interval = cfg_.checkpoint_interval();
   garbage_collect(lw_ > interval ? lw_ - interval : 0);
   maybe_propose();  // the watermark window just advanced
+}
+
+bool LeopardReplica::can_finish(SeqNum prev_lw, SeqNum sn) const {
+  // Finish, don't skip: a replica that reached the previous stable checkpoint
+  // and holds every confirmed block up to sn, short only of datablocks already
+  // being retrieved, executes them itself. Peers keep those datablocks until
+  // the next checkpoint (they garbage-collect one interval behind it), and
+  // that checkpoint jumps a replica that still has not reached this one.
+  if (exec_sn_ < prev_lw || exec_sn_ + cfg_.checkpoint_interval() < sn) return false;
+  for (SeqNum s = exec_sn_ + 1; s <= sn; ++s) {
+    const auto it = instances_.find(s);
+    if (it == instances_.end() || !it->second.confirmed) return false;
+    for (const auto& link : it->second.block.links) {
+      if (!pool_.contains(link) && !retrievals_.contains(link)) return false;
+    }
+  }
+  return true;
 }
 
 void LeopardReplica::garbage_collect(SeqNum through_sn) {

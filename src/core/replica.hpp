@@ -194,6 +194,7 @@ class LeopardReplica final : public protocol::ProtocolBase {
   void on_confirmed(proto::SeqNum sn);
   void execute_ready_blocks();
   void execute_block(Instance& inst);
+  void ack_own_requests(const Instance& inst);
 
   // -- Retrieval (Algorithm 3) ------------------------------------------------
   void note_missing(proto::SeqNum sn, const crypto::Digest& digest);
@@ -206,8 +207,12 @@ class LeopardReplica final : public protocol::ProtocolBase {
 
   // -- Checkpoint / garbage collection (Algorithm 4) --------------------------
   void maybe_checkpoint();
+  /// Makes sn the stable checkpoint. A replica within one interval of it,
+  /// short only of datablocks it is retrieving, finishes the blocks itself;
+  /// one further behind jumps to the certified state.
   void adopt_checkpoint(proto::SeqNum sn, const crypto::Digest& state,
                         const crypto::ThresholdSignature& proof);
+  [[nodiscard]] bool can_finish(proto::SeqNum prev_lw, proto::SeqNum sn) const;
   void garbage_collect(proto::SeqNum through_sn);
 
   // -- View-change (Appendix A) ------------------------------------------------

@@ -3,9 +3,11 @@
 // ReplicaStore it fills.
 //
 // A replica that recovers `count` durable entries from disk may still be
-// behind: Leopard's checkpoint adoption jumps a rejoining core forward
-// without re-emitting the skipped Execute actions, so the local stream has a
-// gap no amount of local replay closes. StateSync fills it from peers:
+// behind: Leopard's checkpoint adoption jumps a core that is more than one
+// checkpoint interval behind (a rejoining one, say) forward without emitting
+// the skipped Execute actions, so the local stream has a gap no amount of
+// local replay closes. (A core within one interval finishes the blocks
+// itself and leaves no gap.) StateSync fills it from peers:
 //
 //   probe  — broadcast StateOffer{kProbe, from=count}; every peer answers
 //            kOffer{until=its durable length, digest at that length}.

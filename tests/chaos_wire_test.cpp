@@ -270,12 +270,14 @@ TEST(ChaosWire, EquivocatingLeaderIsContained) {
 
 TEST(ChaosWire, SelectiveSilenceTowardVictimStaysSafeAndLive) {
   // Replica 3 suppresses every frame toward the f victim replicas (replica 0
-  // here). The victim must still execute the full stream — datablock
-  // retrieval and the remaining 2f honest links carry it — and no honest
-  // pair may diverge.
+  // here). The victim must still execute the full stream itself — datablock
+  // retrieval and the remaining 2f honest links carry it across every
+  // checkpoint, with no state transfer — and no honest pair may diverge.
   const auto dir = temp_dir();
   const auto ports = pick_free_ports(4);
-  const auto manifest = write_manifest(dir, "cluster.conf", ports, {});
+  ManifestOpts mopts;
+  const auto manifest = write_manifest(dir, "cluster.conf", ports, mopts);
+  const std::uint64_t interval = mopts.max_parallel_instances / 2;
 
   ReplicaSet cluster;
   for (std::size_t id = 0; id < 4; ++id) {
@@ -284,8 +286,12 @@ TEST(ChaosWire, SelectiveSilenceTowardVictimStaysSafeAndLive) {
     cluster.start(id, manifest, dir, "", std::move(extra));
   }
 
-  ASSERT_EQ(run_client(manifest, dir + "/client.out", 100, 300, 500), 0)
-      << "cluster lost liveness under selective silence";
+  // Enough load to cross several checkpoints, and no re-submission: each
+  // request is acked only by the replica it was routed to, victim included.
+  constexpr std::uint32_t kRequests = 2400;
+  ASSERT_EQ(run_client(manifest, dir + "/client.out", 100, kRequests, /*resubmit_ms=*/0), 0)
+      << "cluster lost liveness (or an ack) under selective silence";
+  EXPECT_EQ(parse_report(dir + "/client.out").at("acked"), std::to_string(kRequests));
   ::usleep(500 * 1000);
 
   const auto reports = stop_all(cluster, 4);
@@ -294,8 +300,12 @@ TEST(ChaosWire, SelectiveSilenceTowardVictimStaysSafeAndLive) {
     EXPECT_EQ(reports[id].at("exec_digest"), reports[0].at("exec_digest")) << id;
     EXPECT_EQ(reports[id].at("state_digest"), reports[0].at("state_digest")) << id;
   }
-  EXPECT_GE(std::stoull(reports[0].at("executed_requests")), 300u)
+  EXPECT_GE(std::stoull(reports[0].at("executed_through")), 4 * interval)
+      << "the run crossed too few checkpoints to test them";
+  EXPECT_GE(std::stoull(reports[0].at("executed_requests")), kRequests)
       << "the silenced victim fell behind the executed stream";
+  EXPECT_EQ(reports[0].at("sync_entries"), "0")
+      << "the victim skipped blocks and had to pull them from peers";
   EXPECT_GT(std::stoull(reports[3].at("byz_suppressed")), 0u)
       << "the byzantine replica never actually suppressed a frame";
 }

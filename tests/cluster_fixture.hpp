@@ -27,6 +27,7 @@ struct ClusterOptions {
   std::uint32_t client_backlog = 0;
   std::uint32_t client_submit_copies = 1;
   sim::SimTime client_resubmit_timeout = 0;
+  sim::SimTime client_stop_at = -1;             // clients stop submitting here (<0 = never)
   std::uint32_t payload_size = 64;
   bool real_payload = false;
   std::uint64_t seed = 7;
@@ -58,6 +59,7 @@ class LeopardCluster {
       ccfg.payload_size = opts_.payload_size;
       ccfg.real_payload = opts_.real_payload;
       ccfg.resubmit_timeout = opts_.client_resubmit_timeout;
+      ccfg.stop_at = opts_.client_stop_at;
       ccfg.initial_backlog = opts_.client_backlog;
       ccfg.submit_copies = opts_.client_submit_copies;
       ccfg.burst = 1;

@@ -3,6 +3,10 @@
 // view-change (Appendix A), and safety/liveness invariants under faults.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <variant>
+#include <vector>
+
 #include "cluster_fixture.hpp"
 
 using namespace leopard;
@@ -20,6 +24,27 @@ ClusterOptions small_opts() {
   o.protocol.view_timeout = 2 * sim::kSecond;
   o.client_rate_per_replica = 3000;
   return o;
+}
+
+// A checkpoint every 4 sn, clients that stop at 3 s and a run to 4.5 s, so
+// every submitted request has had time to commit.
+ClusterOptions checkpointing_opts() {
+  auto o = small_opts();
+  o.protocol.max_parallel_instances = 8;
+  o.client_stop_at = 3 * sim::kSecond;
+  return o;
+}
+
+// Serial numbers of the Execute actions replica `id` emitted, in order.
+std::vector<proto::SeqNum> executed_sns(const LeopardCluster& cluster, std::uint32_t id) {
+  std::vector<proto::SeqNum> sns;
+  for (const auto& step : cluster.trace(id).steps) {
+    for (const auto& action : step.actions) {
+      const auto* e = std::get_if<protocol::Execute>(&action);
+      if (e != nullptr && (sns.empty() || sns.back() != e->seq)) sns.push_back(e->seq);
+    }
+  }
+  return sns;
 }
 }  // namespace
 
@@ -108,6 +133,80 @@ TEST(LeopardRetrieval, SelectiveAttackTriggersRecovery) {
   EXPECT_TRUE(cluster.logs_consistent({3}));
   // Liveness: confirmations keep happening despite the attack.
   EXPECT_GT(cluster.metrics().executed_requests, 500u);
+  EXPECT_FALSE(cluster.metrics().safety_violation);
+}
+
+TEST(LeopardRetrieval, StarvedReplicaExecutesEveryInstanceAcrossCheckpoints) {
+  // Replica 0 never receives replica 3's datablocks, so it is one retrieval
+  // behind its peers whenever a checkpoint on such a block becomes stable.
+  // It must finish those blocks itself rather than jump over them.
+  auto opts = checkpointing_opts();
+  opts.record_traces = true;
+  LeopardCluster cluster(opts);
+  cluster.network().set_link_filter([](sim::NodeId from, sim::NodeId to, const sim::Payload& m) {
+    return !(from == 3 && to == 0 && dynamic_cast<const proto::DatablockMsg*>(&m) != nullptr);
+  });
+  cluster.run_for(4.5);
+
+  const auto interval = cluster.protocol_config().checkpoint_interval();
+  EXPECT_GT(cluster.replica(0).low_watermark(), 10u * interval);
+  EXPECT_GT(cluster.metrics().datablocks_recovered, 0u);
+  for (std::uint32_t id = 1; id < cluster.replica_count(); ++id) {
+    EXPECT_EQ(cluster.replica(0).executed_through(), cluster.replica(id).executed_through());
+    EXPECT_EQ(cluster.replica(0).executed_request_count(),
+              cluster.replica(id).executed_request_count())
+        << "replica 0 skipped blocks that replica " << id << " executed";
+    EXPECT_EQ(cluster.replica(0).state_digest(), cluster.replica(id).state_digest());
+  }
+  const auto sns = executed_sns(cluster, 0);
+  ASSERT_FALSE(sns.empty());
+  for (std::size_t i = 0; i < sns.size(); ++i) {
+    ASSERT_EQ(sns[i], i + 1) << "gap in replica 0's Execute stream";
+  }
+  EXPECT_EQ(sns.back(), cluster.replica(0).executed_through());
+  EXPECT_FALSE(cluster.metrics().safety_violation);
+}
+
+TEST(LeopardRetrieval, ReplicaBeyondOneIntervalJumpsAndAcksItsOwnRequests) {
+  // As above, and chunk responses to replica 0 are lost for half a second:
+  // the retrievals queried then never complete, so replica 0 falls more than
+  // one checkpoint interval behind and must jump. Its own datablocks sit in
+  // the confirmed blocks it skips; their requests must still be acked, once.
+  auto opts = checkpointing_opts();
+  LeopardCluster cluster(opts);
+  const auto client = static_cast<sim::NodeId>(cluster.client(0).id());  // submits to replica 0
+  std::map<std::uint64_t, std::uint32_t> acks;  // seq -> acks delivered to that client
+  cluster.network().set_link_filter(
+      [&](sim::NodeId from, sim::NodeId to, const sim::Payload& m) {
+        if (from == 3 && to == 0 && dynamic_cast<const proto::DatablockMsg*>(&m) != nullptr) {
+          return false;
+        }
+        const auto t = cluster.simulator().now();
+        if (to == 0 && t >= sim::from_seconds(0.5) && t < sim::from_seconds(1.0) &&
+            dynamic_cast<const proto::ChunkResponseMsg*>(&m) != nullptr) {
+          return false;
+        }
+        const auto* ack = dynamic_cast<const proto::AckMsg*>(&m);
+        if (ack != nullptr && to == client) {
+          for (const auto seq : ack->seqs) ++acks[seq];
+        }
+        return true;
+      });
+  cluster.run_for(4.5);
+
+  // It jumped: blocks its peers executed were skipped.
+  EXPECT_LT(cluster.replica(0).executed_request_count(),
+            cluster.replica(1).executed_request_count());
+  // It stayed live: it is level with its peers once the load stops.
+  for (std::uint32_t id = 1; id < cluster.replica_count(); ++id) {
+    EXPECT_EQ(cluster.replica(0).executed_through(), cluster.replica(id).executed_through());
+    EXPECT_EQ(cluster.replica(0).state_digest(), cluster.replica(id).state_digest());
+  }
+  // Every request its client submitted was acked exactly once.
+  const auto submitted = cluster.client(0).submitted();
+  ASSERT_GT(submitted, 1000u);
+  EXPECT_EQ(acks.size(), submitted);
+  for (const auto& [seq, count] : acks) EXPECT_EQ(count, 1u) << "seq " << seq;
   EXPECT_FALSE(cluster.metrics().safety_violation);
 }
 
