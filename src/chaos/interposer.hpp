@@ -2,7 +2,7 @@
 //
 // `leopard_node --byzantine=<mode>` hosts the UNMODIFIED protocol core inside
 // a `ByzantineInterposer`: the interposer is itself a `protocol::Protocol`, so
-// `SocketEnv::attach` sees one core, while every action the inner core emits
+// the node's env sees one core, while every action the inner core emits
 // passes through a shim `Env` that rewrites it according to the attack:
 //
 //   equivocate — a leader's BftBlockMsg broadcast is split into two

@@ -289,7 +289,7 @@ protocol::Trace TraceMutator::mutated_input(const MutationPlan& plan,
         break;
       case MutationClass::kReorder: {
         const std::size_t other = eligible[op.param % eligible.size()];
-        std::swap(t.steps[raw], t.steps[other]);
+        if (raw != other) std::swap(t.steps[raw], t.steps[other]);
         break;
       }
       case MutationClass::kDelay: {

@@ -71,7 +71,8 @@ crypto::Digest fold_digest(const std::vector<ExecRecord>& stream) {
 namespace {
 
 std::string coord(const ExecRecord& r) {
-  return "(" + std::to_string(r.seq) + "," + std::to_string(r.ordinal) + ")";
+  return std::string("(").append(std::to_string(r.seq)).append(",").append(
+      std::to_string(r.ordinal)).append(")");
 }
 
 }  // namespace

@@ -95,8 +95,8 @@ void build_fused_inner_block(std::uint8_t tag, std::span<const std::uint8_t> mes
 void fused_outer_pass(const std::uint32_t inner[][8], std::uint32_t outer_mid[][8],
                       std::size_t count, Sha256::DigestBytes* out) {
   std::uint8_t blocks[Sha256::kMaxBatch][kBlock];
-  std::uint32_t* st[Sha256::kMaxBatch];
-  const std::uint8_t* bl[Sha256::kMaxBatch];
+  std::uint32_t* st[Sha256::kMaxBatch] = {};
+  const std::uint8_t* bl[Sha256::kMaxBatch] = {};
   for (std::size_t i = 0; i < count; ++i) {
     std::memset(blocks[i], 0, kBlock);
     store_be32x8(blocks[i], inner[i]);

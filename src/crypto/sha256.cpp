@@ -1044,8 +1044,8 @@ void Sha256::update_many(Sha256* const* ctxs, const std::span<const std::uint8_t
 
   // Phase 1: top carry buffers up; the lanes whose buffer fills compress the
   // buffered block as one batch (equal-shaped streams all fill together).
-  std::uint32_t* st[kMaxBatch];
-  const std::uint8_t* bl[kMaxBatch];
+  std::uint32_t* st[kMaxBatch] = {};
+  const std::uint8_t* bl[kMaxBatch] = {};
   std::size_t filled[kMaxBatch];
   std::size_t nfill = 0;
   for (std::size_t i = 0; i < count; ++i) {

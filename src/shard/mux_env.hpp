@@ -5,7 +5,7 @@
 //
 //   - outbound Send/Broadcast route through SocketEnv::send_payload /
 //     broadcast_payload tagged with this shard's instance id (shard 0
-//     travels as bare frames, byte-compatible with unsharded peers);
+//     travels as bare frames: S = 1 is the single-instance wire format);
 //   - SetTimer/CancelTimer land in this instance's private wheel, so token
 //     spaces of different shards never collide;
 //   - inbound frames arrive through the InstanceHooks this env registers,

@@ -1,5 +1,5 @@
 // StateSync: peer state transfer for a restarted replica, layered UNDER the
-// consensus core at the deployment boundary (leopard_node), next to the
+// consensus core at the deployment boundary (src/node/), next to the
 // ReplicaStore it fills.
 //
 // A replica that recovers `count` durable entries from disk may still be

@@ -85,8 +85,8 @@ struct RecordScan {
                                      std::uint64_t offset);
 
 /// The exec_digest chain step: digest after executing a block with
-/// `block_digest` on top of `prev`. MUST match the fold leopard_node applies
-/// live (ByteWriter raw(prev) || raw(block); see tools/leopard_node.cpp).
+/// `block_digest` on top of `prev`. MUST match the fold StateSync applies
+/// live (ByteWriter raw(prev) || raw(block)).
 [[nodiscard]] crypto::Digest fold_exec_digest(const crypto::Digest& prev,
                                               const crypto::Digest& block_digest);
 

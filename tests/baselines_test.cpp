@@ -87,7 +87,9 @@ TEST(HotStuff, ReplicasCommitSameChain) {
   ASSERT_TRUE(want.has_value());
   for (auto& r : cluster.replicas) {
     const auto got = r->committed_digest(h);
-    if (got.has_value()) EXPECT_EQ(*got, *want);
+    if (got.has_value()) {
+      EXPECT_EQ(*got, *want);
+    }
   }
 }
 

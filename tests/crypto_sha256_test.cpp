@@ -321,12 +321,12 @@ TEST(Sha256Kernel, UpdateTwoMatchesSequentialForAsymmetricStreams) {
   for (const auto kernel : all_available_kernels()) {
     lc::Sha256::force_kernel(kernel);
     // Asymmetric lengths force the paired driver through its unpaired tails.
-    for (const auto [la, lb] : {std::pair<std::size_t, std::size_t>{0, 0},
-                                {1, 200},
-                                {64, 64},
-                                {63, 65},
-                                {1000, 5000},
-                                {4096, 4096}}) {
+    for (const auto& [la, lb] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                 {1, 200},
+                                 {64, 64},
+                                 {63, 65},
+                                 {1000, 5000},
+                                 {4096, 4096}}) {
       const auto da = random_bytes(la, la * 31 + 1);
       const auto db = random_bytes(lb, lb * 37 + 2);
       lc::Sha256 a, b;

@@ -119,7 +119,9 @@ TEST(ProtocolApi, ReplayFaultInjectionDropsConfirmationsSafely) {
   const auto& original = cluster.replica(0).confirmed_log();
   for (const auto& [sn, digest] : fresh.confirmed_log()) {
     const auto it = original.find(sn);
-    if (it != original.end()) EXPECT_EQ(it->second, digest) << "sn " << sn;
+    if (it != original.end()) {
+      EXPECT_EQ(it->second, digest) << "sn " << sn;
+    }
   }
 }
 

@@ -349,7 +349,7 @@ class Proxy {
         maybe_finish(link, pipe);
         return;
       }
-      ingest(link, pipe, buf, static_cast<std::size_t>(got));
+      ingest(pipe, buf, static_cast<std::size_t>(got));
       if (pipe.held_bytes > kMaxHeldBytes) {
         close_link(link);  // bounded memory: a hopeless backlog tears down
         return;
@@ -357,7 +357,7 @@ class Proxy {
     }
   }
 
-  void ingest(Link& link, Pipe& pipe, const std::uint8_t* data, std::size_t len) {
+  void ingest(Pipe& pipe, const std::uint8_t* data, std::size_t len) {
     if (opts_.drop_pct > 0 && rng_.uniform_real() * 100.0 < opts_.drop_pct) {
       ++stats_.chunks_dropped;
       stats_.bytes_dropped += len;
